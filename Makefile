@@ -10,11 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Race coverage of the parallel candidate-evaluation engine. The core
-# package holds the worker pool, snapshot, and determinism tests; the
-# root package exercises the facade against the same engine.
+# Race coverage, the same packages as CI's Race step: the core package
+# holds the worker pool, snapshot, and determinism tests; nws, obs, and
+# mstore the forecasting, telemetry, and store paths concurrent rounds
+# share; the root package exercises the facade against the same engine.
 race:
-	$(GO) test -race ./internal/core/... ./internal/mstore/... .
+	$(GO) test -race ./internal/core/... ./internal/nws/... ./internal/obs/... ./internal/mstore/... .
 
 vet:
 	$(GO) vet ./...

@@ -229,7 +229,7 @@ type (
 	// AgentSchedule is the coordinator's chosen schedule.
 	AgentSchedule = core.Schedule
 	// AgentOption configures NewAgent (see WithSpillFactor,
-	// WithParallelism, WithPruning, WithInfoSnapshot).
+	// WithParallelism, WithPruning, WithSelector).
 	AgentOption = core.AgentOption
 	// Candidate is one evaluated resource set or pipeline mapping, the
 	// shared explain currency of Agent.ScheduleExplained/Candidates and
@@ -248,11 +248,11 @@ type (
 	Placement = partition.Placement
 )
 
-// NewAgent assembles an AppLeS from its information pool. Options tune
-// the candidate-evaluation engine; by default the agent snapshots its
-// information source once per round and evaluates candidate sets on a
-// GOMAXPROCS-wide worker pool, making exactly the decision sequential
-// evaluation would.
+// NewAgent assembles an AppLeS from its information pool. Every round
+// evaluates its candidate sets against one frozen snapshot of the
+// information source; options tune the evaluation engine. By default
+// candidate sets fan out over a GOMAXPROCS-wide worker pool, making
+// exactly the decision sequential evaluation would.
 func NewAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opts ...AgentOption) (*Agent, error) {
 	return core.NewAgent(tp, tpl, spec, info, opts...)
 }
@@ -260,16 +260,13 @@ func NewAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opt
 // Agent construction options.
 var (
 	// WithSpillFactor sets the estimator's out-of-memory penalty
-	// (replaces writing the deprecated Agent.SpillFactor field).
+	// (default 25).
 	WithSpillFactor = core.WithSpillFactor
 	// WithParallelism bounds the evaluation worker pool (0 = GOMAXPROCS,
 	// 1 = sequential).
 	WithParallelism = core.WithParallelism
 	// WithPruning enables best-so-far candidate pruning.
 	WithPruning = core.WithPruning
-	// WithInfoSnapshot toggles the per-round information snapshot
-	// (default on; disable only for ablation).
-	WithInfoSnapshot = core.WithInfoSnapshot
 	// WithSelector picks the resource-selector family an agent enumerates
 	// candidates with (exhaustive below 2^12, or the greedy / beam / LP+GA
 	// heuristics that scale to thousand-host pools).
@@ -329,7 +326,7 @@ var NewOverlayInformation = core.NewOverlayInformation
 // `apples -serve`). Agents and rescheduling sessions register as
 // tenants; the service shares one frozen information snapshot across
 // concurrent tenant rounds (copy-on-write), meters the evaluation
-// worker pool under one service-wide budget, and admission-controls
+// worker pool under one GOMAXPROCS-wide budget, and admission-controls
 // submissions behind a bounded queue.
 type (
 	// SchedService is the shared scheduling daemon: registered tenants
@@ -359,9 +356,6 @@ var (
 	// WithServiceRunners sets how many rounds the service serves
 	// concurrently (default GOMAXPROCS).
 	WithServiceRunners = core.WithServiceRunners
-	// WithServiceBudget caps the service-wide evaluation worker pool
-	// shared by all concurrent rounds (default GOMAXPROCS).
-	WithServiceBudget = core.WithServiceBudget
 	// WithServiceMetrics registers the service's queue, snapshot, and
 	// per-tenant round instruments in a shared registry.
 	WithServiceMetrics = core.WithServiceMetrics
@@ -576,9 +570,9 @@ type (
 )
 
 // NewPipelineAgent assembles a pipeline-blueprint AppLeS. It shares the
-// Agent's evaluation engine and accepts the same options (WithParallelism,
-// WithInfoSnapshot; the pipeline blueprint has no spill model or pruning
-// bound, so WithSpillFactor and WithPruning are no-ops).
+// Agent's per-round snapshot and evaluation engine and accepts the same
+// options (WithParallelism; the pipeline blueprint has no spill model or
+// pruning bound, so WithSpillFactor and WithPruning are no-ops).
 func NewPipelineAgent(tp *Topology, tpl *Template, spec *UserSpec, info Information, opt ReactOptions, opts ...AgentOption) (*PipelineAgent, error) {
 	return core.NewPipelineAgent(tp, tpl, spec, info, opt, opts...)
 }
@@ -597,9 +591,6 @@ type (
 	CoordinatorRound = core.Round
 	// ResourceSelector streams candidate resource sets for a round.
 	ResourceSelector = core.ResourceSelector
-	// ResourceSelectorFunc adapts a slice-returning function to the
-	// streaming ResourceSelector interface.
-	ResourceSelectorFunc = core.ResourceSelectorFunc
 	// SelectorStreamFunc adapts a sequence-returning function directly to
 	// ResourceSelector, for selectors that are naturally streaming.
 	SelectorStreamFunc = core.SelectorStreamFunc

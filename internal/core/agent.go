@@ -65,14 +65,10 @@ type Agent struct {
 	spec  *userspec.Spec
 	coord Coordinator
 
-	// SpillFactor mirrors the execution substrate's out-of-memory penalty
+	// spillFactor mirrors the execution substrate's out-of-memory penalty
 	// so the estimator prices spills honestly (default 25, matching
-	// jacobi.Config).
-	//
-	// Deprecated: pass WithSpillFactor to NewAgent instead. Writing the
-	// field still works for this release; it is read at every scheduling
-	// round.
-	SpillFactor float64
+	// jacobi.Config). Set only through WithSpillFactor.
+	spillFactor float64
 }
 
 // NewAgent assembles an agent from its information pool: the application
@@ -104,9 +100,9 @@ func NewAgent(tp *grid.Topology, tpl *hat.Template, spec *userspec.Spec, info In
 	if err := cfg.selector.validate(); err != nil {
 		return nil, err
 	}
-	a := &Agent{tp: tp, tpl: tpl, spec: spec, coord: cfg.Coordinator, SpillFactor: 25}
+	a := &Agent{tp: tp, tpl: tpl, spec: spec, coord: cfg.Coordinator, spillFactor: 25}
 	if cfg.spillFactor > 0 {
-		a.SpillFactor = cfg.spillFactor
+		a.spillFactor = cfg.spillFactor
 	}
 	return a, nil
 }
@@ -155,12 +151,12 @@ func (a *Agent) round(n int) Round {
 	return Round{
 		Pool:     a.spec.Filter(a.tp.Hosts()),
 		Selector: string(a.coord.selector.normalized().Kind),
-		Bind: func(info Information, snapshotted bool) (ResourceSelector, CandidateEvaluator, error) {
+		Bind: func(info Information) (ResourceSelector, CandidateEvaluator, error) {
 			rs := &resourceSelector{tp: a.tp, info: info}
 			pl := &planner{tp: a.tp, tpl: a.tpl, info: info}
-			es := newEstimator(a.tp, a.spec, a.tpl.Tasks[0].BytesPerUnit, a.SpillFactor, max(a.tpl.Iterations, 1))
+			es := newEstimator(a.tp, a.spec, a.tpl.Tasks[0].BytesPerUnit, a.spillFactor, max(a.tpl.Iterations, 1))
 
-			sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets, snapshotted)
+			sel := newSelector(a.coord.selector, rs, a.spec.MaxResourceSets)
 
 			// Solo baseline for the speedup metric: best predicted
 			// single-host total.

@@ -34,27 +34,8 @@ import (
 // backing array. Selector construction (ranking, cost models) should
 // happen eagerly in SelectSeq so the round's "select" stage span keeps
 // measuring it; only per-set work belongs inside the sequence.
-// Slice-returning selectors keep working through ResourceSelectorFunc.
 type ResourceSelector interface {
 	SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host]
-}
-
-// ResourceSelectorFunc adapts a slice-returning function to the
-// streaming ResourceSelector interface — the compatibility shim for
-// pre-streaming selectors: the function runs eagerly (inside the select
-// stage, as before) and the sequence yields its sets in order.
-type ResourceSelectorFunc func(pool []*grid.Host) [][]*grid.Host
-
-// SelectSeq implements ResourceSelector.
-func (f ResourceSelectorFunc) SelectSeq(pool []*grid.Host) iter.Seq[[]*grid.Host] {
-	sets := f(pool)
-	return func(yield func([]*grid.Host) bool) {
-		for _, set := range sets {
-			if !yield(set) {
-				return
-			}
-		}
-	}
 }
 
 // SelectorStreamFunc adapts a sequence-returning function directly to
@@ -114,9 +95,8 @@ type Round struct {
 	// pool fails the round with ErrNoFeasibleHosts.
 	Pool []*grid.Host
 	// Bind builds the round's Resource Selector and fused
-	// Planner+Estimator against the resolved information view (a frozen
-	// snapshot when snapshotting is on; snapshotted reports which).
-	Bind func(info Information, snapshotted bool) (ResourceSelector, CandidateEvaluator, error)
+	// Planner+Estimator against the round's frozen information snapshot.
+	Bind func(info Information) (ResourceSelector, CandidateEvaluator, error)
 	// Bound, when non-nil, builds the pruning bound for the round. It is
 	// only invoked when the Coordinator has pruning enabled, and may
 	// return nil to decline (e.g. when the user's metric is not the one
@@ -130,7 +110,7 @@ type Round struct {
 
 // Coordinator owns the generic AppLeS scheduling round. It is configured
 // once per agent (information source, worker-pool width, pruning,
-// snapshotting) and reused every round; the zero value is not useful —
+// selector) and reused every round; the zero value is not useful —
 // construct through NewCoordinator or an agent constructor.
 type Coordinator struct {
 	info Information
@@ -141,9 +121,6 @@ type Coordinator struct {
 	// pruning enables best-so-far candidate pruning for rounds that
 	// supply a LowerBounder. See WithPruning.
 	pruning bool
-	// snapshot resolves the information pool once per round (default
-	// true). See WithInfoSnapshot.
-	snapshot bool
 	// selector is the candidate-enumeration strategy the blueprint
 	// agents bind each round (default exhaustive). See WithSelector.
 	selector SelectorSpec
@@ -220,16 +197,12 @@ func NewCoordinator(info Information, opts ...AgentOption) *Coordinator {
 // (not the per-round snapshot).
 func (c *Coordinator) Information() Information { return c.info }
 
-// View resolves the information view the coordinator would evaluate the
-// named hosts against: a frozen snapshot when snapshotting is enabled,
-// the live source otherwise. Sequential re-estimation paths (e.g. pricing
-// an existing placement before a rescheduling decision) share it so they
+// View freezes the information the coordinator would evaluate the named
+// hosts against. Sequential re-estimation paths (e.g. pricing an
+// existing placement before a rescheduling decision) share it so they
 // see exactly what a scheduling round would.
 func (c *Coordinator) View(hosts []string) Information {
-	if c.snapshot {
-		return snapshotInformation(c.info, hosts)
-	}
-	return c.info
+	return snapshotInformation(c.info, hosts)
 }
 
 // EvaluateRound runs the blueprint round: resolve the information view,
@@ -286,14 +259,12 @@ func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int)
 		round = c.rounds.Add(1)
 		start = time.Now()
 	}
-	info := c.info
 	workers := c.parallelism
 	if workersOverride > 0 {
 		workers = workersOverride
 	}
-	snapshotted := c.snapshot || view != nil
-	switch {
-	case view != nil:
+	var info Information
+	if view != nil {
 		// An injected view is already frozen; the round reads it exactly
 		// like a snapshot it built itself. The snapshot event re-reports
 		// the original build's stats and marks the reuse.
@@ -303,7 +274,7 @@ func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int)
 				Pairs: st.Pairs, Queries: st.SourceQueries, SharedSnap: true})
 		}
 		info = view
-	case c.snapshot:
+	} else {
 		snapSpan := stages.Start(round, obs.StageSnapshot)
 		snap := roundSnapshot(c.info, r.Pool)
 		if observing {
@@ -318,13 +289,9 @@ func (c *Coordinator) evaluateRound(r Round, view infoView, workersOverride int)
 			snapSpan.End()
 		}
 		info = snap
-	default:
-		// Without a frozen view, workers would race on the underlying
-		// Information source (forecast banks are not thread-safe).
-		workers = 1
 	}
 	selSpan := stages.Start(round, obs.StageSelect)
-	sel, ev, err := r.Bind(info, snapshotted)
+	sel, ev, err := r.Bind(info)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -36,9 +36,9 @@ func buildPool(t *testing.T, clusters, per int, seed int64) (*grid.Topology, Inf
 }
 
 // TestParallelMatchesSequential is the engine's determinism contract:
-// across seeds and pool sizes, parallel snapshotted evaluation must
-// produce a Schedule bit-identical to the legacy sequential loop that
-// queries the information source directly.
+// across seeds and pool sizes, parallel evaluation must produce a
+// Schedule bit-identical to one-worker evaluation and to the
+// pre-Coordinator sequential loop (legacyAgentSchedule).
 func TestParallelMatchesSequential(t *testing.T) {
 	configs := []struct {
 		name          string
@@ -53,8 +53,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			tp, info := buildPool(t, cfg.clusters, cfg.per, seed)
 			tpl := hat.Jacobi2D(600, 10)
 
-			seq, err := NewAgent(tp, tpl, &userspec.Spec{}, info,
-				WithParallelism(1), WithInfoSnapshot(false))
+			seq, err := NewAgent(tp, tpl, &userspec.Spec{}, info, WithParallelism(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +62,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want, err := seq.Schedule(600)
+			want, _, err := legacyAgentSchedule(tp, tpl, &userspec.Spec{}, info, 25, 600)
+			if err != nil {
+				t.Fatalf("%s seed %d legacy: %v", cfg.name, seed, err)
+			}
+			one, err := seq.Schedule(600)
 			if err != nil {
 				t.Fatalf("%s seed %d sequential: %v", cfg.name, seed, err)
 			}
@@ -71,8 +74,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d parallel: %v", cfg.name, seed, err)
 			}
+			if !reflect.DeepEqual(want, one) {
+				t.Fatalf("%s seed %d: sequential schedule diverged from legacy\nlegacy: %v\nseq:    %v", cfg.name, seed, want, one)
+			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s seed %d: parallel schedule diverged\nseq: %v\npar: %v", cfg.name, seed, want, got)
+				t.Fatalf("%s seed %d: parallel schedule diverged from legacy\nlegacy: %v\npar:    %v", cfg.name, seed, want, got)
 			}
 		}
 	}
@@ -83,7 +89,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelExplainedMatchesSequential(t *testing.T) {
 	tp, info := buildPool(t, 3, 4, 5)
 	tpl := hat.Jacobi2D(500, 10)
-	seq, err := NewAgent(tp, tpl, &userspec.Spec{}, info, WithParallelism(1), WithInfoSnapshot(false))
+	seq, err := NewAgent(tp, tpl, &userspec.Spec{}, info, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +97,12 @@ func TestParallelExplainedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := seq.ScheduleExplained(500, 0)
+	_, legacy, err := legacyAgentSchedule(tp, tpl, &userspec.Spec{}, info, 25, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rankCandidates(legacy, 0)
+	_, one, err := seq.ScheduleExplained(500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +110,11 @@ func TestParallelExplainedMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(want, one) {
+		t.Fatalf("sequential explained candidates diverged from legacy: %d vs %d entries", len(want), len(one))
+	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("explained candidates diverged: %d vs %d entries", len(want), len(got))
+		t.Fatalf("parallel explained candidates diverged from legacy: %d vs %d entries", len(want), len(got))
 	}
 }
 
@@ -175,8 +189,7 @@ func TestConcurrentScheduleCalls(t *testing.T) {
 	}
 }
 
-// TestAgentOptions covers the functional-options surface and the
-// deprecated SpillFactor field's continued operation.
+// TestAgentOptions covers the functional-options surface.
 func TestAgentOptions(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := grid.SDSCPCL(eng, grid.TestbedOptions{Seed: 1, Quiet: true})
@@ -185,24 +198,19 @@ func TestAgentOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.SpillFactor != 40 {
-		t.Fatalf("WithSpillFactor not applied: %v", a.SpillFactor)
+	if a.spillFactor != 40 {
+		t.Fatalf("WithSpillFactor not applied: %v", a.spillFactor)
 	}
-	if a.coord.parallelism != 2 || !a.coord.pruning || !a.coord.snapshot {
-		t.Fatalf("options not applied: parallelism=%d pruning=%v snapshot=%v",
-			a.coord.parallelism, a.coord.pruning, a.coord.snapshot)
+	if a.coord.parallelism != 2 || !a.coord.pruning {
+		t.Fatalf("options not applied: parallelism=%d pruning=%v",
+			a.coord.parallelism, a.coord.pruning)
 	}
-	// Legacy field write still takes effect (deprecated but supported).
 	b, err := NewAgent(tp, hat.Jacobi2D(500, 10), &userspec.Spec{}, OracleInformation(tp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.SpillFactor != 25 {
-		t.Fatalf("default spill factor %v, want 25", b.SpillFactor)
-	}
-	b.SpillFactor = 40
-	if _, err := b.Schedule(500); err != nil {
-		t.Fatal(err)
+	if b.spillFactor != 25 {
+		t.Fatalf("default spill factor %v, want 25", b.spillFactor)
 	}
 }
 

@@ -18,9 +18,9 @@ type coordConfig struct {
 }
 
 // newCoordConfig returns the default configuration over an information
-// source: per-round snapshotting on, GOMAXPROCS worker pool, no pruning.
+// source: GOMAXPROCS worker pool, no pruning, exhaustive selector.
 func newCoordConfig(info Information) coordConfig {
-	return coordConfig{Coordinator: Coordinator{info: info, snapshot: true, rounds: new(atomic.Uint64)}}
+	return coordConfig{Coordinator: Coordinator{info: info, rounds: new(atomic.Uint64)}}
 }
 
 // AgentOption configures a blueprint agent's Coordinator at construction.
@@ -32,9 +32,8 @@ func newCoordConfig(info Information) coordConfig {
 type AgentOption func(*coordConfig)
 
 // WithSpillFactor sets the estimator's out-of-memory penalty multiplier
-// (default 25, matching jacobi.Config). It replaces writing the exported
-// Agent.SpillFactor field; the pipeline blueprint, which has no spill
-// model, ignores it.
+// (default 25, matching jacobi.Config); the pipeline blueprint, which
+// has no spill model, ignores it.
 func WithSpillFactor(f float64) AgentOption {
 	return func(c *coordConfig) {
 		if f > 0 {
@@ -63,16 +62,6 @@ func WithParallelism(n int) AgentOption {
 // every set.
 func WithPruning(on bool) AgentOption {
 	return func(c *coordConfig) { c.pruning = on }
-}
-
-// WithInfoSnapshot toggles the per-round information snapshot (default
-// on). Disabling it restores the legacy behavior of querying the
-// Information source for every candidate set — useful only for ablation
-// and benchmarking the snapshot's effect; it also forces sequential
-// evaluation, since parallel workers may only read the immutable
-// snapshot.
-func WithInfoSnapshot(on bool) AgentOption {
-	return func(c *coordConfig) { c.snapshot = on }
 }
 
 // WithSelector picks the Resource Selector strategy the blueprint

@@ -31,7 +31,7 @@ func (a *Agent) EstimatePlacement(n int, p *partition.Placement) (float64, error
 	if err != nil {
 		return 0, err
 	}
-	es := newEstimator(a.tp, a.spec, a.tpl.Tasks[0].BytesPerUnit, a.SpillFactor, max(a.tpl.Iterations, 1))
+	es := newEstimator(a.tp, a.spec, a.tpl.Tasks[0].BytesPerUnit, a.spillFactor, max(a.tpl.Iterations, 1))
 	return es.iterTime(p, costs), nil
 }
 

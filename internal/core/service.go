@@ -21,9 +21,9 @@ import (
 //     frozen information view through a copy-on-write snapshotCache
 //     (one routeBatcher pass over the forecaster bank, refcounted
 //     immutable fan-out) instead of N independent freezes;
-//   - coordinator layer: candidate-evaluation parallelism is a global
-//     sharded workerBudget instead of a per-Agent pool — each round is
-//     granted fan-out width for its duration and returns it;
+//   - coordinator layer: candidate-evaluation parallelism is one
+//     GOMAXPROCS-wide workerBudget instead of a per-Agent pool — each
+//     round is granted fan-out width for its duration and returns it;
 //   - service layer: a bounded admission queue with typed backpressure
 //     (ErrQueueFull) and deterministic per-tenant round ordering —
 //     one tenant's rounds complete in submission order, always;
@@ -72,8 +72,6 @@ type SchedService struct {
 type serviceConfig struct {
 	queueDepth int
 	runners    int
-	budget     int
-	shards     int
 	metrics    *obs.Metrics
 	tracer     obs.Tracer
 }
@@ -99,30 +97,6 @@ func WithServiceRunners(n int) ServiceOption {
 	return func(c *serviceConfig) {
 		if n > 0 {
 			c.runners = n
-		}
-	}
-}
-
-// WithServiceBudget sets the global extra-worker budget rounds draw
-// their candidate-evaluation fan-out from (default GOMAXPROCS). A lone
-// round claims the whole budget; concurrent rounds split it. Every
-// round keeps at least its own goroutine, so the budget never blocks
-// progress — and never changes decisions, only evaluation width.
-func WithServiceBudget(workers int) ServiceOption {
-	return func(c *serviceConfig) {
-		if workers > 0 {
-			c.budget = workers
-		}
-	}
-}
-
-// WithServiceShards sets how many cache-line-padded shards the worker
-// budget spreads over (default min(8, budget)). Purely a contention
-// knob.
-func WithServiceShards(n int) ServiceOption {
-	return func(c *serviceConfig) {
-		if n > 0 {
-			c.shards = n
 		}
 	}
 }
@@ -159,19 +133,15 @@ func NewSchedService(opts ...ServiceOption) *SchedService {
 	cfg := serviceConfig{
 		queueDepth: 1024,
 		runners:    runtime.GOMAXPROCS(0),
-		budget:     runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&cfg)
 		}
 	}
-	if cfg.shards == 0 {
-		cfg.shards = min(8, cfg.budget)
-	}
 	s := &SchedService{
 		cfg:     cfg,
-		budget:  newWorkerBudget(cfg.budget, cfg.shards),
+		budget:  newWorkerBudget(runtime.GOMAXPROCS(0)),
 		cache:   newSnapshotCache(),
 		tenants: make(map[string]*Tenant),
 		tracer:  cfg.tracer,
@@ -203,7 +173,6 @@ type Tenant struct {
 	id    string
 	agent *Agent          // Agent-backed tenant (shared-snapshot path)
 	sess  *ReschedSession // session-backed tenant (delta path)
-	shard int             // home shard in the worker budget
 
 	qmu    sync.Mutex
 	fifo   []roundRequest
@@ -289,7 +258,6 @@ func (s *SchedService) register(id string, t *Tenant) (*Tenant, error) {
 		return nil, fmt.Errorf("core: tenant %q already registered", id)
 	}
 	t.svc = s
-	t.shard = len(s.order)
 	if s.met != nil {
 		// Per-tenant labeled series, resolved once here so the round hot
 		// path only performs atomic updates.
@@ -445,13 +413,13 @@ func (s *SchedService) runRound(t *Tenant, req roundRequest) RoundResult {
 		var entry *snapEntry
 		var view infoView
 		pool := t.agent.spec.Filter(t.agent.tp.Hosts())
-		if len(pool) > 0 && t.agent.coord.snapshot {
+		if len(pool) > 0 {
 			entry, res.SharedSnapshot = s.cache.acquire(t.agent.coord.info, pool)
 			view = entry.view
 		}
-		workers := s.budget.grant(t.shard, s.cfg.budget)
+		workers := s.budget.grant(s.budget.total)
 		res.Schedule, res.Err = t.agent.scheduleWith(req.n, view, workers)
-		s.budget.release(t.shard, workers)
+		s.budget.release(workers)
 		if entry != nil {
 			s.cache.release(entry)
 			if s.met != nil {

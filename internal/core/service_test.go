@@ -48,7 +48,7 @@ func TestServiceSingleTenantParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				svc := NewSchedService(WithServiceRunners(2), WithServiceBudget(4))
+				svc := NewSchedService(WithServiceRunners(2))
 				tenant, err := svc.Register("solo", client)
 				if err != nil {
 					t.Fatal(err)
@@ -69,7 +69,7 @@ func TestServiceSingleTenantParity(t *testing.T) {
 // TestServiceConcurrentTenantsRace is the satellite race sweep: N
 // tenants × concurrent rounds over ONE shared snapshot and ONE shared
 // Metrics registry, with exact bookkeeping afterwards. Run under -race
-// this exercises the cache's once-build fan-out, the sharded budget,
+// this exercises the cache's once-build fan-out, the worker budget,
 // and the labeled metric series concurrently.
 func TestServiceConcurrentTenantsRace(t *testing.T) {
 	const tenants, rounds = 8, 5
@@ -78,7 +78,7 @@ func TestServiceConcurrentTenantsRace(t *testing.T) {
 
 	reg := obs.NewMetrics()
 	col := obs.NewCollector()
-	svc := NewSchedService(WithServiceRunners(4), WithServiceBudget(4),
+	svc := NewSchedService(WithServiceRunners(4),
 		WithServiceMetrics(reg), WithServiceTracer(col))
 
 	standalone, err := NewAgent(tp, tpl, &userspec.Spec{}, info)
@@ -310,6 +310,58 @@ func TestServiceQueueFull(t *testing.T) {
 	}
 }
 
+// TestServiceNoFeasibleHosts: a tenant whose user specification filters
+// out every host fails its round with ErrNoFeasibleHosts — exactly what
+// standalone Agent.Schedule returns — without acquiring a snapshot, and
+// the service keeps serving its other tenants.
+func TestServiceNoFeasibleHosts(t *testing.T) {
+	tp, info := buildPool(t, 0, 0, 3)
+	tpl := hat.Jacobi2D(400, 5)
+	reg := obs.NewMetrics()
+	svc := NewSchedService(WithServiceRunners(1), WithServiceMetrics(reg))
+	defer svc.Close()
+
+	blocked, err := NewAgent(tp, tpl, &userspec.Spec{Accessible: []string{"nope"}}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := blocked.Schedule(400); !errors.Is(err, ErrNoFeasibleHosts) {
+		t.Fatalf("standalone: got %v, want ErrNoFeasibleHosts", err)
+	}
+	tn, err := svc.Register("blocked", blocked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := tn.Submit(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := <-ch
+	if !errors.Is(res.Err, ErrNoFeasibleHosts) || res.Schedule != nil || res.SharedSnapshot {
+		t.Fatalf("service round = %+v, want ErrNoFeasibleHosts without a schedule or snapshot", res)
+	}
+	if tn.Rounds() != 1 {
+		t.Fatalf("rounds = %d, want 1", tn.Rounds())
+	}
+	builds := reg.Counter(obs.MetricSnapshotBuilds).Value()
+	reused := reg.Counter(obs.MetricSnapshotReused).Value()
+	if builds != 0 || reused != 0 {
+		t.Fatalf("snapshot builds/reuses = %d/%d, want 0/0 for an empty pool", builds, reused)
+	}
+
+	open, err := NewAgent(tp, tpl, &userspec.Spec{}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := svc.Register("open", open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ok.Schedule(400); err != nil {
+		t.Fatalf("open tenant after a failed round: %v", err)
+	}
+}
+
 // TestServiceSessionTenant pins the session-backed thin client: rounds
 // through the service are exactly standalone ReschedSession rounds, in
 // order, with delta stats attached.
@@ -356,34 +408,57 @@ func TestServiceSessionTenant(t *testing.T) {
 	}
 }
 
-// TestWorkerBudget pins the sharded budget arithmetic: grants never
-// exceed availability+1, never fall below 1, steal across shards, and
-// conserve tokens across release.
+// TestWorkerBudget pins the budget arithmetic: grants never exceed
+// availability+1, never fall below 1, and conserve tokens across
+// release.
 func TestWorkerBudget(t *testing.T) {
-	b := newWorkerBudget(8, 4)
+	b := newWorkerBudget(8)
 	if got := b.available(); got != 8 {
 		t.Fatalf("initial tokens = %d, want 8", got)
 	}
-	g1 := b.grant(0, 6) // wants 5 extra: drains shard 0 (2) + steals 3
+	g1 := b.grant(6) // wants 5 extra
 	if g1 != 6 {
-		t.Fatalf("grant(0,6) = %d, want 6", g1)
+		t.Fatalf("grant(6) = %d, want 6", g1)
 	}
 	if got := b.available(); got != 3 {
 		t.Fatalf("tokens after grant = %d, want 3", got)
 	}
-	g2 := b.grant(1, 10) // wants 9 extra, only 3 remain
+	g2 := b.grant(10) // wants 9 extra, only 3 remain
 	if g2 != 4 {
-		t.Fatalf("grant(1,10) = %d, want 4", g2)
+		t.Fatalf("grant(10) = %d, want 4", g2)
 	}
-	g3 := b.grant(2, 4) // budget empty: sequential grant
+	g3 := b.grant(4) // budget empty: sequential grant
 	if g3 != 1 {
 		t.Fatalf("grant on empty budget = %d, want 1", g3)
 	}
-	b.release(0, g1)
-	b.release(1, g2)
-	b.release(2, g3)
+	if g := b.grant(1); g != 1 {
+		t.Fatalf("grant(1) = %d, want 1", g)
+	}
+	b.release(g1)
+	b.release(g2)
+	b.release(g3)
 	if got := b.available(); got != 8 {
 		t.Fatalf("tokens after release = %d, want 8 (leak)", got)
+	}
+
+	// Concurrent grant/release traffic conserves the tokens too.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				g := b.grant(3)
+				if g < 1 || g > 3 {
+					t.Errorf("concurrent grant(3) = %d", g)
+				}
+				b.release(g)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := b.available(); got != 8 {
+		t.Fatalf("tokens after concurrent traffic = %d, want 8 (leak)", got)
 	}
 }
 

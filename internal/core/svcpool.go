@@ -16,87 +16,42 @@ import "sync/atomic"
 // self-balancing: a lone round claims the whole budget and evaluates at
 // full width, while 64 concurrent rounds each run near-sequentially and
 // the parallelism lives across rounds instead of within them.
-//
-// Tokens are sharded across padded atomics so concurrent grant/release
-// traffic from many runner goroutines does not serialize on one cache
-// line; a grant drains its home shard first and steals the remainder
-// from neighbors.
 type workerBudget struct {
-	shards []budgetShard
-}
-
-// budgetShard pads each token counter to its own cache line.
-type budgetShard struct {
+	total int // tokens at rest; a round asks for total workers
 	avail atomic.Int64
-	_     [56]byte
 }
 
-// newWorkerBudget distributes total extra-worker tokens across shards
-// (capped at one shard per token; both arguments floor at 1).
-func newWorkerBudget(total, shards int) *workerBudget {
-	if total < 1 {
-		total = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > total {
-		shards = total
-	}
-	b := &workerBudget{shards: make([]budgetShard, shards)}
-	base, extra := total/shards, total%shards
-	for i := range b.shards {
-		n := base
-		if i < extra {
-			n++
-		}
-		b.shards[i].avail.Store(int64(n))
-	}
+// newWorkerBudget holds total extra-worker tokens (floored at 1).
+func newWorkerBudget(total int) *workerBudget {
+	b := &workerBudget{total: max(total, 1)}
+	b.avail.Store(int64(b.total))
 	return b
 }
 
 // grant claims up to want total workers for one round and returns how
 // many were secured (always ≥ 1: the round's own goroutine is free).
-// home spreads contention — callers pass a stable per-tenant shard
-// index. Pair every grant with a release of the same value.
-func (b *workerBudget) grant(home, want int) int {
-	extra := want - 1
-	got := 0
-	ns := len(b.shards)
-	for off := 0; off < ns && got < extra; off++ {
-		sh := &b.shards[(home+off)%ns]
-		for got < extra {
-			cur := sh.avail.Load()
-			if cur <= 0 {
-				break
-			}
-			take := int64(extra - got)
-			if take > cur {
-				take = cur
-			}
-			if sh.avail.CompareAndSwap(cur, cur-take) {
-				got += int(take)
-				break
-			}
+// Pair every grant with a release of the same value.
+func (b *workerBudget) grant(want int) int {
+	extra := int64(want - 1)
+	for extra > 0 {
+		cur := b.avail.Load()
+		if cur <= 0 {
+			break
+		}
+		take := min(extra, cur)
+		if b.avail.CompareAndSwap(cur, cur-take) {
+			return 1 + int(take)
 		}
 	}
-	return 1 + got
+	return 1
 }
 
-// release returns a grant's extra tokens to the caller's home shard
-// (tokens migrate between shards over time; the total is conserved).
-func (b *workerBudget) release(home, granted int) {
-	if granted <= 1 {
-		return
+// release returns a grant's extra tokens.
+func (b *workerBudget) release(granted int) {
+	if granted > 1 {
+		b.avail.Add(int64(granted - 1))
 	}
-	b.shards[home%len(b.shards)].avail.Add(int64(granted - 1))
 }
 
-// available sums the outstanding tokens across shards (test hook).
-func (b *workerBudget) available() int {
-	total := int64(0)
-	for i := range b.shards {
-		total += b.shards[i].avail.Load()
-	}
-	return int(total)
-}
+// available reports the outstanding tokens (test hook).
+func (b *workerBudget) available() int { return int(b.avail.Load()) }

@@ -238,7 +238,6 @@ func FormatPipelineSchedLatency(rows []PipelineLatencyRow) string {
 type LatencyRow struct {
 	Hosts      int
 	Candidates int
-	DirectMS   float64 // legacy loop: sequential, re-querying the info source per set
 	SeqMS      float64 // snapshot, sequential
 	ParMS      float64 // snapshot, GOMAXPROCS worker pool
 	PruneMS    float64 // snapshot, worker pool + best-so-far pruning
@@ -259,8 +258,6 @@ func SchedLatency(sizes [][2]int, n int, seed int64) ([]LatencyRow, error) {
 		set  func(*LatencyRow, float64)
 		opts []core.AgentOption
 	}{
-		{func(r *LatencyRow, v float64) { r.DirectMS = v },
-			[]core.AgentOption{core.WithParallelism(1), core.WithInfoSnapshot(false)}},
 		{func(r *LatencyRow, v float64) { r.SeqMS = v },
 			[]core.AgentOption{core.WithParallelism(1)}},
 		{func(r *LatencyRow, v float64) { r.ParMS = v },
@@ -299,10 +296,10 @@ func SchedLatency(sizes [][2]int, n int, seed int64) ([]LatencyRow, error) {
 func FormatSchedLatency(rows []LatencyRow) string {
 	var sb strings.Builder
 	sb.WriteString("Scheduler decision latency — one round, by evaluation mode (ms wall-clock)\n")
-	sb.WriteString("  hosts  candidates  direct(ms)  snapshot(ms)  parallel(ms)  +pruning(ms)\n")
+	sb.WriteString("  hosts  candidates  snapshot(ms)  parallel(ms)  +pruning(ms)\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "  %5d  %10d  %10.1f  %12.1f  %12.1f  %12.1f\n",
-			r.Hosts, r.Candidates, r.DirectMS, r.SeqMS, r.ParMS, r.PruneMS)
+		fmt.Fprintf(&sb, "  %5d  %10d  %12.1f  %12.1f  %12.1f\n",
+			r.Hosts, r.Candidates, r.SeqMS, r.ParMS, r.PruneMS)
 	}
 	return sb.String()
 }

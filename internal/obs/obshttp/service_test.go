@@ -97,6 +97,30 @@ func TestServiceHandlerSchedule(t *testing.T) {
 	}
 }
 
+// TestServiceHandlerNoFeasibleHosts: a tenant whose user specification
+// filters out every host gets 422 from /schedule.
+func TestServiceHandlerNoFeasibleHosts(t *testing.T) {
+	tp := grid.SDSCPCL(sim.NewEngine(), grid.TestbedOptions{Seed: 4, Quiet: true})
+	sched := core.NewSchedService()
+	t.Cleanup(sched.Close)
+	a, err := core.NewAgent(tp, hat.Jacobi2D(400, 5),
+		&userspec.Spec{Accessible: []string{"nope"}}, core.OracleInformation(tp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.Register("blocked", a); err != nil {
+		t.Fatal(err)
+	}
+	h := ServiceHandler(sched, nil, nil)
+	res, body := get(t, h, "/schedule?tenant=blocked&n=400")
+	if res.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("/schedule status = %d, want 422: %s", res.StatusCode, body)
+	}
+	if !strings.Contains(body, core.ErrNoFeasibleHosts.Error()) {
+		t.Fatalf("/schedule body = %q, want the no-feasible-hosts error", body)
+	}
+}
+
 func TestServiceHandlerTenants(t *testing.T) {
 	sched, m, ring := newTestService(t)
 	h := ServiceHandler(sched, m, ring)
